@@ -28,17 +28,48 @@ const DefaultRowSize = 1 << 15
 // Transform applies the (unnormalized) Walsh-Hadamard transform to v in
 // place. len(v) must be a power of two; Transform panics otherwise.
 // Applying Transform twice multiplies v by len(v).
+//
+// The butterfly stages h = 1, 2, 4, … run two at a time: one pass loads
+// v[j], v[j+h], v[j+2h], v[j+3h], applies stage h's two butterflies and
+// then stage 2h's two, and stores the four results, halving the passes
+// over a row that does not fit in L1. Every butterfly still computes the
+// same x+y and x−y from the same operands as the one-stage-per-pass loop,
+// so the output is bit-identical to it (pinned in fwht_test.go).
 func Transform(v []float32) {
 	n := len(v)
 	if !vecmath.IsPow2(n) {
 		panic("fwht: length is not a power of two")
 	}
-	for h := 1; h < n; h <<= 1 {
-		for i := 0; i < n; i += h << 1 {
-			for j := i; j < i+h; j++ {
-				x, y := v[j], v[j+h]
-				v[j], v[j+h] = x+y, x-y
+	h := 1
+	if n >= 4 {
+		// Stages 1 and 2 touch only four adjacent entries: no inner loop.
+		for i := 0; i+4 <= n; i += 4 {
+			q := v[i : i+4 : i+4]
+			a, b := q[0]+q[1], q[0]-q[1]
+			c, d := q[2]+q[3], q[2]-q[3]
+			q[0], q[1], q[2], q[3] = a+c, b+d, a-c, b-d
+		}
+		h = 4
+	}
+	for ; 4*h <= n; h *= 4 {
+		for i := 0; i < n; i += 4 * h {
+			v0 := v[i : i+h]
+			v1 := v[i+h : i+2*h][:len(v0)]
+			v2 := v[i+2*h : i+3*h][:len(v0)]
+			v3 := v[i+3*h : i+4*h][:len(v0)]
+			for j := range v0 {
+				a, b := v0[j]+v1[j], v0[j]-v1[j]
+				c, d := v2[j]+v3[j], v2[j]-v3[j]
+				v0[j], v1[j], v2[j], v3[j] = a+c, b+d, a-c, b-d
 			}
+		}
+	}
+	if h < n {
+		// An odd number of stages leaves the last one, h = n/2.
+		lo, hi := v[:h], v[h:][:h]
+		for j, x := range lo {
+			y := hi[j]
+			lo[j], hi[j] = x+y, x-y
 		}
 	}
 }
@@ -63,10 +94,11 @@ func applySignDiagonal(v []float32, seed uint64) {
 		if n-i < m {
 			m = n - i
 		}
-		for b := 0; b < m; b++ {
-			if w>>uint(b)&1 == 1 {
-				v[i+b] = -v[i+b]
-			}
+		// Negation flips the sign bit; doing it with an XOR keeps the
+		// loop free of the data-dependent branch a random diagonal would
+		// mispredict half the time.
+		for b, x := range v[i : i+m] {
+			v[i+b] = math.Float32frombits(math.Float32bits(x) ^ uint32(w>>uint(b)&1)<<31)
 		}
 		i += m
 	}

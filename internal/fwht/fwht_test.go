@@ -35,6 +35,76 @@ func TestTransformKnownValues(t *testing.T) {
 	}
 }
 
+// refTransform is the one-stage-per-pass radix-2 transform and
+// refSignDiagonal the branching negation loop: the references Transform
+// and applySignDiagonal must match bit for bit.
+func refTransform(v []float32) {
+	n := len(v)
+	for h := 1; h < n; h <<= 1 {
+		for i := 0; i < n; i += h << 1 {
+			for j := i; j < i+h; j++ {
+				x, y := v[j], v[j+h]
+				v[j], v[j+h] = x+y, x-y
+			}
+		}
+	}
+}
+
+func refSignDiagonal(v []float32, seed uint64) {
+	r := xrand.New(seed)
+	for i := 0; i < len(v); i += 64 {
+		w := r.Uint64()
+		for b := 0; b < 64 && i+b < len(v); b++ {
+			if w>>uint(b)&1 == 1 {
+				v[i+b] = -v[i+b]
+			}
+		}
+	}
+}
+
+// TestTransformMatchesRadix2 runs every power-of-two length up to the
+// paper's row size (odd and even stage counts) through both transforms,
+// on rows salted with signed zeros, ±Inf and NaN, and requires identical
+// bits (a NaN need only meet a NaN: IEEE 754 leaves which operand's NaN an
+// add propagates unspecified). The sign diagonal is held to its reference
+// the same way, also on lengths that end mid-word.
+func TestTransformMatchesRadix2(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	same := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range got {
+			g, w := got[i], want[i]
+			if math.IsNaN(float64(g)) && math.IsNaN(float64(w)) {
+				continue
+			}
+			if math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s n=%d: [%d] = %x, want %x", name, len(got), i, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+	}
+	for n := 1; n <= DefaultRowSize; n <<= 1 {
+		v := randomRow(uint64(n)+3, n)
+		if n >= 64 {
+			for k, x := range specials {
+				v[(k*n)/len(specials)+1] = x
+			}
+		}
+		got := append([]float32(nil), v...)
+		want := append([]float32(nil), v...)
+		Transform(got)
+		refTransform(want)
+		same("Transform", got, want)
+
+		for _, m := range []int{n, n - n/3} {
+			got := append([]float32(nil), v[:m]...)
+			want := append([]float32(nil), v[:m]...)
+			applySignDiagonal(got, 9)
+			refSignDiagonal(want, 9)
+			same("applySignDiagonal", got, want)
+		}
+	}
+}
+
 func TestTransformInvolution(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 64, 1024} {
 		v := randomRow(uint64(n), n)

@@ -69,6 +69,51 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLURaggedRows: rows of different lengths share one backing array
+// without bleeding into each other, an append to a row cannot overwrite
+// its neighbour, and Forward(train)+Backward take a fixed number of
+// allocations however many rows the batch has.
+func TestReLURaggedRows(t *testing.T) {
+	r := NewReLU()
+	x := [][]float32{{-1, 2}, {}, {3, -4, 5}, {6}}
+	out := r.Forward(x, true)
+	want := [][]float32{{0, 2}, {}, {3, 0, 5}, {6}}
+	for s := range want {
+		if len(out[s]) != len(want[s]) || cap(out[s]) != len(want[s]) {
+			t.Fatalf("row %d: len %d cap %d, want %d", s, len(out[s]), cap(out[s]), len(want[s]))
+		}
+		for i := range want[s] {
+			if out[s][i] != want[s][i] {
+				t.Fatalf("forward row %d = %v, want %v", s, out[s], want[s])
+			}
+		}
+	}
+	_ = append(out[0], 99)
+	if out[2][0] != 3 {
+		t.Fatalf("append to row 0 overwrote row 2: %v", out[2])
+	}
+	g := r.Backward([][]float32{{7, 7}, {}, {7, 7, 7}, {7}})
+	wantG := [][]float32{{0, 7}, {}, {7, 0, 7}, {7}}
+	for s := range wantG {
+		for i := range wantG[s] {
+			if g[s][i] != wantG[s][i] {
+				t.Fatalf("backward row %d = %v, want %v", s, g[s], wantG[s])
+			}
+		}
+	}
+
+	batch := make([][]float32, 64)
+	for s := range batch {
+		batch[s] = []float32{-1, 1, 0, 2}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Backward(r.Forward(batch, true))
+	})
+	if allocs > 6 {
+		t.Fatalf("ReLU forward+backward on 64 rows allocates %.0f times, want ≤ 6", allocs)
+	}
+}
+
 func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	logits := [][]float32{{0, 0, 0, 0}}
 	loss, grad := SoftmaxCrossEntropy(logits, []int{2})

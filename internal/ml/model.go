@@ -71,7 +71,7 @@ func (d *Dense) initialize(rng *xrand.Rand) {
 	}
 }
 
-// Forward implements Layer. The matmul runs cache-blocked on the par
+// Forward implements Layer. The matmul runs register-blocked on the par
 // pool (see matmul.go); results are bit-identical at every worker count.
 func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
 	// Validate before fanning out: a panic must fire on the caller's
@@ -94,23 +94,57 @@ func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
 // (each owned by exactly one worker so accumulation order is fixed), and
 // the small ∂L/∂b reduction serial.
 func (d *Dense) Backward(gradOut [][]float32) [][]float32 {
-	if d.x == nil {
-		panic("ml: dense backward before forward(train)")
-	}
+	d.backwardParams(gradOut)
 	gradIn := sliceRows(len(gradOut), d.In)
 	denseBackwardInput(gradIn, gradOut, d.w, d.Out)
-	denseBackwardWeights(d.dw, d.x, gradOut, d.Out)
-	denseBackwardBias(d.db, gradOut)
 	return gradIn
 }
 
+// backwardParams accumulates ∂L/∂W and ∂L/∂b without computing ∂L/∂input,
+// which nothing reads when the layer is the model's first.
+func (d *Dense) backwardParams(gradOut [][]float32) {
+	if d.x == nil {
+		panic("ml: dense backward before forward(train)")
+	}
+	// Validate before fanning out, as Forward does.
+	if len(gradOut) != len(d.x) {
+		panic(fmt.Sprintf("ml: dense backward got %d gradient rows for %d inputs", len(gradOut), len(d.x)))
+	}
+	for _, gy := range gradOut {
+		if len(gy) != d.Out {
+			panic(fmt.Sprintf("ml: dense backward expects %d gradients, got %d", d.Out, len(gy)))
+		}
+	}
+	denseBackwardWeights(d.dw, d.x, gradOut, d.Out)
+	denseBackwardBias(d.db, gradOut)
+}
+
 // sliceRows allocates an n×dim matrix as one backing array, halving the
-// batch-loop allocation count versus per-row makes.
+// batch-loop allocation count versus per-row makes. Rows are cap-limited
+// so an append to one cannot overwrite the next.
 func sliceRows(n, dim int) [][]float32 {
 	rows := make([][]float32, n)
 	backing := make([]float32, n*dim)
 	for s := range rows {
-		rows[s] = backing[s*dim : (s+1)*dim]
+		rows[s] = backing[s*dim : (s+1)*dim : (s+1)*dim]
+	}
+	return rows
+}
+
+// rowsLike allocates rows of the same lengths as x, ragged or not, over
+// one backing array, with each row cap-limited like sliceRows'.
+func rowsLike[T any](x [][]float32) [][]T {
+	total := 0
+	for _, row := range x {
+		total += len(row)
+	}
+	rows := make([][]T, len(x))
+	backing := make([]T, total)
+	off := 0
+	for s, row := range x {
+		end := off + len(row)
+		rows[s] = backing[off:end:end]
+		off = end
 	}
 	return rows
 }
@@ -128,29 +162,22 @@ func (r *ReLU) ParamCount() int              { return 0 }
 func (r *ReLU) bind(params, grads []float32) {}
 func (r *ReLU) initialize(rng *xrand.Rand)   {}
 
-// Forward implements Layer.
+// Forward implements Layer. Outputs and the mask each take one backing
+// array per batch (rowsLike), not one per row.
 func (r *ReLU) Forward(x [][]float32, train bool) [][]float32 {
-	out := make([][]float32, len(x))
+	out := rowsLike[float32](x)
 	if train {
-		r.mask = make([][]bool, len(x))
+		r.mask = rowsLike[bool](x)
 	}
 	for s, row := range x {
-		y := make([]float32, len(row))
-		var m []bool
-		if train {
-			m = make([]bool, len(row))
-		}
+		y := out[s]
 		for i, v := range row {
 			if v > 0 {
 				y[i] = v
 				if train {
-					m[i] = true
+					r.mask[s][i] = true
 				}
 			}
-		}
-		out[s] = y
-		if train {
-			r.mask[s] = m
 		}
 	}
 	return out
@@ -161,15 +188,14 @@ func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
 	if r.mask == nil {
 		panic("ml: relu backward before forward(train)")
 	}
-	gradIn := make([][]float32, len(gradOut))
+	gradIn := rowsLike[float32](gradOut)
 	for s, gy := range gradOut {
-		gx := make([]float32, len(gy))
+		m, gx := r.mask[s], gradIn[s]
 		for i, g := range gy {
-			if r.mask[s][i] {
+			if m[i] {
 				gx[i] = g
 			}
 		}
-		gradIn[s] = gx
 	}
 	return gradIn
 }
@@ -230,11 +256,20 @@ func (m *Model) Forward(x [][]float32, train bool) [][]float32 {
 }
 
 // Backward propagates ∂L/∂logits through all layers, accumulating
-// parameter gradients.
+// parameter gradients. The first layer's ∂L/∂input has no reader, so a
+// first layer that can skip it (Dense) only accumulates its parameters.
 func (m *Model) Backward(gradLogits [][]float32) {
+	if len(m.layers) == 0 {
+		return
+	}
 	g := gradLogits
-	for i := len(m.layers) - 1; i >= 0; i-- {
+	for i := len(m.layers) - 1; i > 0; i-- {
 		g = m.layers[i].Backward(g)
+	}
+	if d, ok := m.layers[0].(*Dense); ok {
+		d.backwardParams(g)
+	} else {
+		m.layers[0].Backward(g)
 	}
 }
 

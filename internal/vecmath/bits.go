@@ -1,177 +1,96 @@
 package vecmath
 
-// Bit-packing helpers shared by the quantizers and the wire format. Heads
-// and tails are bit-addressed regions inside a packet payload; a BitWriter
-// appends fields MSB-within-byte first (network-friendly, so a truncated
-// byte stream still yields a readable bit prefix), and a BitReader consumes
-// the same layout.
+import "encoding/binary"
 
-// BitWriter accumulates a bit stream into a byte slice. The zero value is
-// an empty writer ready for use.
-type BitWriter struct {
-	buf  []byte
-	nBit int // total bits written
-}
+// Bulk bit packing shared by the quantizers and the wire format. Heads and
+// tails are bit-addressed regions inside a packet payload: fixed-width
+// fields laid out MSB-within-byte first (network-friendly, so a truncated
+// byte stream still yields a readable bit prefix). PackBits writes a whole
+// region in one call and UnpackBits reads one back; both move bits through
+// a 64-bit accumulator with 32-bit big-endian stores and loads, so the cost
+// per field is a shift and an or rather than a byte loop.
 
-// NewBitWriter returns a writer with capacity pre-allocated for nBits.
-func NewBitWriter(nBits int) *BitWriter {
-	return &BitWriter{buf: make([]byte, 0, (nBits+7)/8)}
-}
-
-// BitWriterOver returns a writer that appends into buf, which must be
-// empty (len 0) with enough spare capacity for everything written —
-// exceeding cap(buf) would reallocate and silently detach the writer
-// from the caller's backing array. Returned by value so a local writer
-// never escapes to the heap; this is what lets the wire packer serialize
-// head/tail regions straight into the packet buffer with no per-region
-// allocation.
-func BitWriterOver(buf []byte) BitWriter {
-	return BitWriter{buf: buf[:0]}
-}
-
-// WriteBit appends one bit (the low bit of b).
-func (w *BitWriter) WriteBit(b uint) {
-	if w.nBit%8 == 0 {
-		w.buf = append(w.buf, 0)
+// PackBits writes the low width bits of each vals[i], most significant bit
+// first, as one contiguous bit stream at the start of dst, and returns the
+// number of bytes written, (len(vals)*width+7)/8. Unused low bits of the
+// last byte are zero. Every byte in dst[:n] is stored, never OR-ed, so dst
+// may hold stale data (a recycled packet buffer). It panics if width is
+// outside [0, 32] or dst is shorter than n; width 0 writes nothing.
+func PackBits(dst []byte, vals []uint32, width int) int {
+	if width < 0 || width > 32 {
+		panic("vecmath: PackBits width out of range")
 	}
-	if b&1 != 0 {
-		w.buf[w.nBit/8] |= 1 << uint(7-w.nBit%8)
-	}
-	w.nBit++
-}
-
-// WriteBits appends the low width bits of v, most significant bit first.
-// It panics if width is outside [0, 64].
-//
-// The implementation is word-at-a-time: it splits v into a leading
-// partial-byte fill, whole-byte stores, and a trailing partial byte,
-// instead of looping bit by bit. The byte layout is identical to repeated
-// WriteBit calls (pinned by TestWriteBitsMatchesBitAtATime).
-func (w *BitWriter) WriteBits(v uint64, width int) {
-	if width < 0 || width > 64 {
-		panic("vecmath: BitWriter width out of range")
+	n := (len(vals)*width + 7) / 8
+	if len(dst) < n {
+		panic("vecmath: PackBits destination too short")
 	}
 	if width == 0 {
+		return 0
+	}
+	dst = dst[:n]
+	mask := uint64(1)<<uint(width) - 1
+	// acc holds nacc pending bits in its low end (bits above them are
+	// already-stored leftovers, shifted out or ignored). nacc < 32 before
+	// each field, so nacc+width never exceeds 63.
+	var acc uint64
+	nacc, o := 0, 0
+	for _, v := range vals {
+		acc = acc<<uint(width) | uint64(v)&mask
+		nacc += width
+		if nacc >= 32 {
+			nacc -= 32
+			binary.BigEndian.PutUint32(dst[o:], uint32(acc>>uint(nacc)))
+			o += 4
+		}
+	}
+	for ; nacc >= 8; o++ {
+		nacc -= 8
+		dst[o] = byte(acc >> uint(nacc))
+	}
+	if nacc > 0 {
+		dst[o] = byte(acc << uint(8-nacc))
+	}
+	return n
+}
+
+// UnpackBits reads len(dst) fields of width bits each, most significant
+// bit first, from the start of src: the inverse of PackBits. It panics if
+// width is outside [0, 32] or src holds fewer than len(dst)*width bits, and
+// never reads a byte past that prefix, so a caller may size dst to what a
+// truncated src still holds. Width 0 fills dst with zeros.
+func UnpackBits(dst []uint32, src []byte, width int) {
+	if width < 0 || width > 32 {
+		panic("vecmath: UnpackBits width out of range")
+	}
+	if len(dst)*width > len(src)*8 {
+		panic("vecmath: UnpackBits source too short")
+	}
+	if width == 0 {
+		clear(dst)
 		return
 	}
-	if width < 64 {
-		v &= 1<<uint(width) - 1
-	}
-	// Extend the buffer to cover every bit about to land. New bytes are
-	// zeroed explicitly: in BitWriterOver mode the spare capacity may hold
-	// stale data from a recycled packet buffer.
-	need := (w.nBit + width + 7) / 8
-	if old := len(w.buf); old < need {
-		if need <= cap(w.buf) {
-			w.buf = w.buf[:need]
-		} else {
-			w.buf = append(w.buf, make([]byte, need-old)...)
+	mask := uint64(1)<<uint(width) - 1
+	// acc holds nacc unread bits in its low end; a refill happens only when
+	// nacc < width <= 32, so a 32-bit load never overflows it. Near the end
+	// of src the refill falls back to single bytes, which the length check
+	// above keeps in bounds.
+	var acc uint64
+	nacc, o := 0, 0
+	for i := range dst {
+		if nacc < width {
+			if o+4 <= len(src) {
+				acc = acc<<32 | uint64(binary.BigEndian.Uint32(src[o:]))
+				o += 4
+				nacc += 32
+			} else {
+				for nacc < width {
+					acc = acc<<8 | uint64(src[o])
+					o++
+					nacc += 8
+				}
+			}
 		}
-		for i := old; i < need; i++ {
-			w.buf[i] = 0
-		}
-	}
-	pos := w.nBit
-	w.nBit += width
-	// Fill the current partial byte first (its written bits must be kept).
-	if off := pos & 7; off != 0 {
-		free := 8 - off
-		if width <= free {
-			w.buf[pos>>3] |= byte(v << uint(free-width))
-			return
-		}
-		w.buf[pos>>3] |= byte(v >> uint(width-free))
-		width -= free
-		pos += free
-	}
-	// Whole bytes, most significant chunk first.
-	for width >= 8 {
-		width -= 8
-		w.buf[pos>>3] = byte(v >> uint(width))
-		pos += 8
-	}
-	if width > 0 {
-		w.buf[pos>>3] = byte(v << uint(8-width))
+		nacc -= width
+		dst[i] = uint32(acc >> uint(nacc) & mask)
 	}
 }
-
-// Len returns the number of bits written so far.
-func (w *BitWriter) Len() int { return w.nBit }
-
-// Bytes returns the backing byte slice. Unused trailing bits are zero.
-// The slice aliases the writer's internal buffer.
-func (w *BitWriter) Bytes() []byte { return w.buf }
-
-// Reset clears the writer for reuse, keeping the allocation.
-func (w *BitWriter) Reset() {
-	w.buf = w.buf[:0]
-	w.nBit = 0
-}
-
-// BitReader consumes a bit stream produced by BitWriter.
-type BitReader struct {
-	buf  []byte
-	pos  int // bit position
-	nBit int // total readable bits
-}
-
-// NewBitReader returns a reader over buf exposing nBits bits. If nBits is
-// negative, all of buf is readable.
-func NewBitReader(buf []byte, nBits int) *BitReader {
-	if nBits < 0 || nBits > len(buf)*8 {
-		nBits = len(buf) * 8
-	}
-	return &BitReader{buf: buf, nBit: nBits}
-}
-
-// ReadBit returns the next bit, or (0, false) when exhausted.
-func (r *BitReader) ReadBit() (uint, bool) {
-	if r.pos >= r.nBit {
-		return 0, false
-	}
-	b := uint(r.buf[r.pos/8]>>uint(7-r.pos%8)) & 1
-	r.pos++
-	return b, true
-}
-
-// ReadBits returns the next width bits as an MSB-first integer, or
-// (0, false) if fewer than width bits remain. It panics if width is
-// outside [0, 64].
-//
-// Like WriteBits it consumes whole bytes at a time: a leading partial
-// byte, then full bytes, then a trailing partial byte. The value read is
-// identical to repeated ReadBit calls.
-func (r *BitReader) ReadBits(width int) (uint64, bool) {
-	if width < 0 || width > 64 {
-		panic("vecmath: BitReader width out of range")
-	}
-	if r.pos+width > r.nBit {
-		return 0, false
-	}
-	pos := r.pos
-	r.pos += width
-	var v uint64
-	// Leading partial byte: take its low (8-off) bits.
-	if off := pos & 7; off != 0 {
-		avail := 8 - off
-		b := uint64(r.buf[pos>>3]) & (1<<uint(avail) - 1)
-		if width <= avail {
-			return b >> uint(avail-width), true
-		}
-		v = b
-		width -= avail
-		pos += avail
-	}
-	for width >= 8 {
-		v = v<<8 | uint64(r.buf[pos>>3])
-		pos += 8
-		width -= 8
-	}
-	if width > 0 {
-		v = v<<uint(width) | uint64(r.buf[pos>>3]>>uint(8-width))
-	}
-	return v, true
-}
-
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return r.nBit - r.pos }

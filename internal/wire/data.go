@@ -48,26 +48,14 @@ func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error
 	}
 	h.Flags &^= FlagTrimmed | FlagMeta | FlagNaive
 
-	// Serialize both bit regions directly into buf's spare capacity:
-	// FullSize covers header + heads + tails, so neither writer can
-	// outgrow the backing array, and the packet costs at most one
+	// Pack both bit regions straight into the packet buffer: FullSize
+	// covers header + heads + tails, and the packet costs at most one
 	// allocation (none on an arena hit). Recycled buffers arrive dirty;
-	// every byte below is written, never OR-ed into prior contents.
-	buf := a.Get(h.FullSize())[:HeaderSize]
+	// every byte below is stored, never OR-ed into prior contents.
+	buf := a.Get(h.FullSize())
 	h.marshal(buf)
-
-	hw := vecmath.BitWriterOver(buf[HeaderSize:])
-	for _, v := range heads {
-		hw.WriteBits(uint64(v), int(h.P))
-	}
-	buf = buf[:HeaderSize+len(hw.Bytes())]
-	headEnd := len(buf)
-
-	tw := vecmath.BitWriterOver(buf[headEnd:])
-	for _, v := range tails {
-		tw.WriteBits(uint64(v), int(h.Q))
-	}
-	buf = buf[:headEnd+len(tw.Bytes())]
+	headEnd := HeaderSize + vecmath.PackBits(buf[HeaderSize:], heads, int(h.P))
+	buf = buf[:headEnd+vecmath.PackBits(buf[headEnd:], tails, int(h.Q))]
 
 	binary.BigEndian.PutUint32(buf[offHeadCRC:], headerChecksum(buf, buf[HeaderSize:headEnd]))
 	binary.BigEndian.PutUint32(buf[offTailCRC:], checksum(buf[headEnd:]))
@@ -98,20 +86,20 @@ func ParseDataPacket(buf []byte) (*DataPacket, error) {
 	if headerChecksum(buf, hr) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
 		return nil, fmt.Errorf("%w (head region)", ErrBadChecksum)
 	}
+	if len(hr)*8 < int(h.P)*int(h.Count) {
+		return nil, fmt.Errorf("%w: head bits exhausted", ErrTooShort)
+	}
 
+	// Heads and tails share one backing array, cap-limited so an append
+	// to Heads cannot run into Tails: a parsed packet costs two
+	// allocations, the struct and the values.
+	vals := make([]uint32, 2*int(h.Count))
 	p := &DataPacket{
 		Header: h,
-		Heads:  make([]uint32, h.Count),
-		Tails:  make([]uint32, h.Count),
+		Heads:  vals[:h.Count:h.Count],
+		Tails:  vals[h.Count:],
 	}
-	br := vecmath.NewBitReader(hr, int(h.P)*int(h.Count))
-	for i := range p.Heads {
-		v, ok := br.ReadBits(int(h.P))
-		if !ok {
-			return nil, fmt.Errorf("%w: head bits exhausted", ErrTooShort)
-		}
-		p.Heads[i] = uint32(v)
-	}
+	vecmath.UnpackBits(p.Heads, hr, int(h.P))
 
 	tailStart := HeaderSize + h.HeadBytes()
 	tailBuf := buf[tailStart:min(len(buf), tailStart+h.TailBytes())]
@@ -135,15 +123,12 @@ func ParseDataPacket(buf []byte) (*DataPacket, error) {
 			return nil, fmt.Errorf("%w (tail region)", ErrBadChecksum)
 		}
 	}
-	tr := vecmath.NewBitReader(tailBuf, -1)
-	for i := 0; i < p.TailCount; i++ {
-		v, ok := tr.ReadBits(int(h.Q))
-		if !ok {
-			p.TailCount = i
-			break
-		}
-		p.Tails[i] = uint32(v)
+	// Decode only whole tails the surviving bytes hold; UnpackBits panics
+	// on a source shorter than its request.
+	if len(tailBuf)*8 < p.TailCount*int(h.Q) {
+		p.TailCount = len(tailBuf) * 8 / int(h.Q)
 	}
+	vecmath.UnpackBits(p.Tails[:p.TailCount], tailBuf, int(h.Q))
 	return p, nil
 }
 

@@ -154,6 +154,34 @@ func TestDataPacketRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseDataPacketAllocs: a parsed packet costs two allocations, the
+// struct and one array that Heads and Tails share, and Heads is
+// cap-limited so an append to it cannot overwrite Tails.
+func TestParseDataPacketAllocs(t *testing.T) {
+	const n = 300
+	heads, tails := randHeadsTails(5, n, 1, 31)
+	buf, err := BuildDataPacket(testHeader(n, 1, 31), heads, tails)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ParseDataPacket(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("ParseDataPacket allocates %.1f times, want 2", allocs)
+	}
+	pkt, _ := ParseDataPacket(buf)
+	if cap(pkt.Heads) != n {
+		t.Fatalf("cap(Heads) = %d, want %d", cap(pkt.Heads), n)
+	}
+	_ = append(pkt.Heads, 0xFFFF)
+	if pkt.Tails[0] != tails[0] {
+		t.Fatalf("append to Heads overwrote Tails[0]: %x, want %x", pkt.Tails[0], tails[0])
+	}
+}
+
 func TestBuildDataPacketValidation(t *testing.T) {
 	h := testHeader(3, 1, 31)
 	if _, err := BuildDataPacket(h, make([]uint32, 2), make([]uint32, 3)); err == nil {

@@ -16,7 +16,8 @@
 #                             engine suite run clean under -race with live
 #                             obs registries, and the obs overhead guard
 #                             still holds
-#   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
+#   scripts/check.sh -lint    static pass only: gofmt + go vet (module and
+#                             perfbench) + trimlint
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged)
 #
@@ -69,6 +70,9 @@ fi
 step "go vet ./..."
 go vet ./...
 
+step "go -C perfbench vet ./... (benchmark module)"
+go -C perfbench vet ./...
+
 step "trimlint ./..."
 go run ./cmd/trimlint ./...
 
@@ -83,12 +87,17 @@ go build ./...
 if [[ $mode == short ]]; then
   step "go test -short ./..."
   go test -short ./...
+  step "go -C perfbench test ./... (benchmark module)"
+  go -C perfbench test ./...
   echo "OK (short mode: race-detector pass skipped)"
   exit 0
 fi
 
 step "go test ./..."
 go test ./...
+
+step "go -C perfbench test ./... (benchmark module)"
+go -C perfbench test ./...
 
 step "go test -race (concurrency-heavy packages)"
 go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp
@@ -111,10 +120,11 @@ go run ./tools/metricsval "$metrics_tmp"
 step "obs overhead guard (encode hot path, Nop vs live registry)"
 go test -run 'TestObsOverheadGuard' -count=1 .
 
-step "fuzz smoke (wire parsers + Trim + aggregate merge, 2s each)"
+step "fuzz smoke (wire parsers + Trim + aggregate merge + bit packing, 2s each)"
 for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket; do
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
 done
+go test -run '^$' -fuzz '^FuzzPackBits$' -fuzztime 2s ./internal/vecmath
 
 step "coverage (fault-injection surface)"
 go test -cover ./internal/netsim ./internal/wire ./internal/transport \
