@@ -56,7 +56,7 @@ func ringWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 	edge, trunk netsim.LinkConfig, s quant.Scheme) (*netsim.Sim, []*Worker) {
 	t.Helper()
 	sim := netsim.NewSim()
-	ring := netsim.BuildRing(sim, n, edge, trunk, q)
+	ring := netsim.NewRing(sim, n, edge, trunk, q)
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
 		st := transport.NewStack(ring.Hosts[i], transport.Config{})

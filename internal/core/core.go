@@ -288,6 +288,9 @@ type decObs struct {
 	coordsDropped  *obs.Counter
 	expected       *obs.Counter
 	packetBytes    *obs.Histogram
+	// emitted remembers the coordinate-level stats already flushed to the
+	// registry (see flush).
+	emitted Stats
 }
 
 func newDecObs(r *obs.Registry) decObs {
@@ -304,6 +307,17 @@ func newDecObs(r *obs.Registry) decObs {
 	}
 }
 
+// flush pushes the coordinate-level fields of s to the registry.
+// Reconstruct recomputes those fields from scratch on every call, so only
+// what a call added beyond earlier flushes is counted.
+func (o *decObs) flush(s Stats) {
+	o.coords.Add(int64(s.TotalCoords - o.emitted.TotalCoords))
+	o.coordsTrimmed.Add(int64(s.TrimmedCoords - o.emitted.TrimmedCoords))
+	o.coordsDropped.Add(int64(s.DroppedCoords - o.emitted.DroppedCoords))
+	o.expected.Add(int64(s.ExpectedPackets - o.emitted.ExpectedPackets))
+	o.emitted = s
+}
+
 // Decoder reassembles and decodes one message's packet stream.
 // A Decoder instance handles a single message; create one per message.
 type Decoder struct {
@@ -316,10 +330,6 @@ type Decoder struct {
 	pending map[uint32][][]byte
 	stats   Stats
 	obs     decObs
-	// emitted remembers the coordinate-level stats already pushed to the
-	// registry so repeated Reconstruct calls (which recompute those fields
-	// from scratch) emit only the delta.
-	emitted Stats
 }
 
 // maxPendingPerRow bounds how many early data packets one row buffers
@@ -494,13 +504,7 @@ func (d *Decoder) Reconstruct(n int) ([]float32, Stats, error) {
 		}
 		out = append(out, dec...)
 	}
-	// Coordinate-level fields were recomputed from scratch above; push only
-	// what this call added beyond what earlier Reconstructs emitted.
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
+	d.obs.flush(d.stats)
 	return out[:n], d.stats, nil
 }
 

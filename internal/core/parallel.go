@@ -184,10 +184,6 @@ func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 		d.stats.TrimmedCoords += res[r].trimmed
 		d.stats.DroppedCoords += res[r].dropped
 	}
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
+	d.obs.flush(d.stats)
 	return out[:n], d.stats, nil
 }

@@ -39,9 +39,6 @@ type SumDecoder struct {
 	rows   map[uint32]*sumRow
 	stats  Stats
 	obs    decObs
-	// emitted mirrors Decoder.emitted: coordinate-level registry counters
-	// get only the delta beyond what earlier Reconstructs pushed.
-	emitted Stats
 	// contribution accounting across all rows (in original-packet units).
 	headContribs int // coordinates that arrived (any precision) × inputs
 	tailContribs int // coordinates that arrived at full precision × inputs
@@ -336,11 +333,7 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 			out = append(out, 0)
 		}
 	}
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
+	d.obs.flush(d.stats)
 	return out[:n], d.stats, nil
 }
 

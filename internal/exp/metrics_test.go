@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -29,7 +30,12 @@ func chaosExport(t *testing.T, seed uint64) []byte {
 // property end to end: two same-seed chaos runs — fault injection, link
 // flaps, retransmissions and all — must emit byte-identical telemetry
 // exports. Any wall-clock read, map-order dependence, or unseeded
-// randomness anywhere in the instrumented stack breaks this.
+// randomness anywhere in the instrumented stack breaks this. The seed-7
+// export must also match testdata/chaos_seed7.jsonl byte for byte, so a
+// refactor of how the telemetry is collected cannot change what it says.
+// Regenerate that file only for an intended telemetry change:
+//
+//	go run ./cmd/trimbench -exp chaos -quick -seed 7 -metrics internal/exp/testdata/chaos_seed7.jsonl
 func TestChaosMetricsDeterminism(t *testing.T) {
 	a := chaosExport(t, 7)
 	b := chaosExport(t, 7)
@@ -38,6 +44,13 @@ func TestChaosMetricsDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed chaos runs exported different telemetry:\nrun1 %d bytes, run2 %d bytes", len(a), len(b))
+	}
+	golden, err := os.ReadFile("testdata/chaos_seed7.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, golden) {
+		t.Fatalf("seed-7 chaos telemetry (%d bytes) differs from testdata/chaos_seed7.jsonl (%d bytes)", len(a), len(golden))
 	}
 	// The export must cover all three layers the chaos cells exercise.
 	got := string(a)

@@ -70,9 +70,6 @@ func (c FaultConfig) aliasing() bool {
 }
 
 // FaultStats counts what a FaultInjector actually did.
-//
-// Deprecated: read the "netsim.fault.<from>-><to>.*" counters from the
-// telemetry registry; this remains as a thin view for existing callers.
 type FaultStats struct {
 	Corrupted    int
 	Duplicated   int
@@ -80,22 +77,24 @@ type FaultStats struct {
 	BurstDropped int
 }
 
-// faultObs mirrors FaultStats into the registry, one counter family per
-// faulted link direction.
-type faultObs struct {
-	corrupted    *obs.Counter
-	duplicated   *obs.Counter
-	reordered    *obs.Counter
-	burstDropped *obs.Counter
-}
-
-func newFaultObs(r *obs.Registry, from, to NodeID) faultObs {
+// register exposes the counters as function-backed registry counters
+// under "netsim.fault.<from>-><to>.", read at snapshot time. A port whose
+// injector is replaced keeps the old one's counts in the exported sum.
+func (s *FaultStats) register(r *obs.Registry, from, to NodeID) {
+	if r == nil {
+		return
+	}
 	prefix := fmt.Sprintf("netsim.fault.%d->%d.", from, to)
-	return faultObs{
-		corrupted:    r.Counter(prefix + "corrupted_total"),
-		duplicated:   r.Counter(prefix + "duplicated_total"),
-		reordered:    r.Counter(prefix + "reordered_total"),
-		burstDropped: r.Counter(prefix + "burst_dropped_total"),
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{
+		{"corrupted_total", &s.Corrupted},
+		{"duplicated_total", &s.Duplicated},
+		{"reordered_total", &s.Reordered},
+		{"burst_dropped_total", &s.BurstDropped},
+	} {
+		r.CounterFunc(prefix+f.name, func() int64 { return int64(*f.v) })
 	}
 }
 
@@ -110,7 +109,6 @@ type FaultInjector struct {
 	rng   *xrand.Rand
 	bad   bool // Gilbert-Elliott channel state
 	Stats FaultStats
-	obs   faultObs
 }
 
 func newFaultInjector(sim *Sim, cfg FaultConfig, streamID ...uint64) *FaultInjector {
@@ -126,13 +124,11 @@ func newFaultInjector(sim *Sim, cfg FaultConfig, streamID ...uint64) *FaultInjec
 func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 	if f.dropBurst() {
 		f.Stats.BurstDropped++
-		f.obs.burstDropped.Inc()
 		f.sim.releasePacket(pkt)
 		return
 	}
 	if f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
 		f.Stats.Duplicated++
-		f.obs.duplicated.Inc()
 		p.admit(pkt.Clone())
 	}
 	if f.cfg.CorruptRate > 0 && len(pkt.Payload) > 0 && f.rng.Float64() < f.cfg.CorruptRate {
@@ -142,7 +138,6 @@ func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 	}
 	if f.cfg.ReorderRate > 0 && f.rng.Float64() < f.cfg.ReorderRate {
 		f.Stats.Reordered++
-		f.obs.reordered.Inc()
 		delay := f.cfg.ReorderDelay
 		if delay <= 0 {
 			delay = 10 * Microsecond
@@ -186,7 +181,6 @@ func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
 		c.Payload[pos/8] ^= 1 << uint(pos%8)
 	}
 	f.Stats.Corrupted++
-	f.obs.corrupted.Inc()
 	return c
 }
 
@@ -212,7 +206,7 @@ func (p *Port) SetFaults(cfg FaultConfig, streamID ...uint64) *FaultInjector {
 		p.sim.aliasFaultAdd(1)
 	}
 	p.faults = newFaultInjector(p.sim, cfg, streamID...)
-	p.faults.obs = newFaultObs(p.sim.obs, p.owner, p.peer.ID())
+	p.faults.Stats.register(p.sim.obs, p.owner, p.peer.ID())
 	return p.faults
 }
 

@@ -104,10 +104,11 @@ type Network struct {
 type Option func(*Network)
 
 // WithRegistry attaches a telemetry registry to the network's simulator.
-// Every port created afterwards dual-writes its PortStats into the
-// registry (metric prefix "netsim.port.<owner>-><peer>."), and the
-// registry's clock is rebound to simulated time so spans recorded by any
-// layer above the fabric are stamped deterministically.
+// Every port created afterwards registers its PortStats as
+// function-backed counters (metric prefix "netsim.port.<owner>-><peer>."),
+// read at snapshot time, and the registry's clock is rebound to simulated
+// time so spans recorded by any layer above the fabric are stamped
+// deterministically.
 func WithRegistry(r *obs.Registry) Option {
 	return func(n *Network) { n.Sim.setObs(r) }
 }
@@ -240,37 +241,41 @@ type PortStats struct {
 	StaleDrops int
 }
 
-// portObs mirrors PortStats into the simulator's telemetry registry. The
-// instruments are nil (free no-ops) when no registry is attached, so the
-// fast path pays one nil check per event. PortStats stays authoritative;
-// these counters are the exported view of the same events.
-type portObs struct {
-	enqueued     *obs.Counter
-	transmitted  *obs.Counter
-	dropped      *obs.Counter
-	droppedBytes *obs.Counter
-	trimmed      *obs.Counter
-	ecnMarked    *obs.Counter
-	downDrops    *obs.Counter
-	aggregated   *obs.Counter
-	staleDrops   *obs.Counter
-	queueDepth   *obs.Histogram
+// register exposes the counters (all but the MaxQueueBytes high-water
+// mark) as function-backed registry counters under
+// "netsim.port.<owner>-><peer>.": the registry reads this struct when it
+// snapshots, so each event is counted once, here.
+func (s *PortStats) register(r *obs.Registry, owner, peer NodeID) {
+	if r == nil {
+		return
+	}
+	prefix := fmt.Sprintf("netsim.port.%d->%d.", owner, peer)
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{
+		{"enqueued_total", &s.Enqueued},
+		{"transmitted_total", &s.Transmitted},
+		{"dropped_total", &s.Dropped},
+		{"dropped_bytes_total", &s.DroppedBytes},
+		{"trimmed_total", &s.Trimmed},
+		{"ecn_marked_total", &s.ECNMarked},
+		{"down_drops_total", &s.DownDrops},
+		{"aggregated_total", &s.Aggregated},
+		{"stale_drops_total", &s.StaleDrops},
+	} {
+		r.CounterFunc(prefix+f.name, func() int64 { return int64(*f.v) })
+	}
 }
 
-func newPortObs(r *obs.Registry, owner, peer NodeID) portObs {
-	prefix := fmt.Sprintf("netsim.port.%d->%d.", owner, peer)
-	return portObs{
-		enqueued:     r.Counter(prefix + "enqueued_total"),
-		transmitted:  r.Counter(prefix + "transmitted_total"),
-		dropped:      r.Counter(prefix + "dropped_total"),
-		droppedBytes: r.Counter(prefix + "dropped_bytes_total"),
-		trimmed:      r.Counter(prefix + "trimmed_total"),
-		ecnMarked:    r.Counter(prefix + "ecn_marked_total"),
-		downDrops:    r.Counter(prefix + "down_drops_total"),
-		aggregated:   r.Counter(prefix + "aggregated_total"),
-		staleDrops:   r.Counter(prefix + "stale_drops_total"),
-		queueDepth:   r.Histogram(prefix+"queue_depth_bytes", obs.BucketsBytes()),
+// queueDepthHist is the port's queue-depth histogram in r (nil, a free
+// no-op, when no registry is attached). It has no PortStats counterpart,
+// so it is the one per-event port instrument.
+func queueDepthHist(r *obs.Registry, owner, peer NodeID) *obs.Histogram {
+	if r == nil {
+		return nil
 	}
+	return r.Histogram(fmt.Sprintf("netsim.port.%d->%d.queue_depth_bytes", owner, peer), obs.BucketsBytes())
 }
 
 // Port is one output port: a two-priority byte-bounded queue feeding a
@@ -297,7 +302,8 @@ type Port struct {
 	// switch aggregates, nil otherwise.
 	metaOf func(flow, msg, row uint32) (wire.MetaInfo, bool)
 	Stats  PortStats
-	obs    portObs
+	// queueDepth samples QueuedBytes on every enqueue and merge.
+	queueDepth *obs.Histogram
 }
 
 func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig) *Port {
@@ -308,7 +314,8 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 	if p.cfg.LossRate > 0 {
 		p.lossRNG = xrand.New(xrand.Seed(p.cfg.LossSeed, uint64(peer.ID())))
 	}
-	p.obs = newPortObs(sim.obs, owner, peer.ID())
+	p.Stats.register(sim.obs, owner, peer.ID())
+	p.queueDepth = queueDepthHist(sim.obs, owner, peer.ID())
 	return p
 }
 
@@ -326,7 +333,6 @@ func (p *Port) Link() LinkConfig { return p.link }
 func (p *Port) Enqueue(pkt *Packet) {
 	if p.down {
 		p.Stats.DownDrops++
-		p.obs.downDrops.Inc()
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -341,7 +347,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.down {
 		// A reordered packet can surface after a flap began.
 		p.Stats.DownDrops++
-		p.obs.downDrops.Inc()
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -351,7 +356,6 @@ func (p *Port) admit(pkt *Packet) {
 	// (evAdmit funnels back through here), and duplicates.
 	if pkt.PayloadOwner != nil && !pkt.PayloadOwner.Valid(pkt.Payload, pkt.PayloadGen) {
 		p.Stats.StaleDrops++
-		p.obs.staleDrops.Inc()
 		p.sim.staleDrops++
 		p.sim.releasePacket(pkt)
 		return
@@ -359,8 +363,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.lossRNG != nil && p.lossRNG.Float64() < p.cfg.LossRate {
 		p.Stats.Dropped++
 		p.Stats.DroppedBytes += pkt.Size
-		p.obs.dropped.Inc()
-		p.obs.droppedBytes.Add(int64(pkt.Size))
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -376,7 +378,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.cfg.ECNThresholdBytes > 0 && p.bytes[PrioNormal] >= p.cfg.ECNThresholdBytes {
 		pkt.ECE = true
 		p.Stats.ECNMarked++
-		p.obs.ecnMarked.Inc()
 	}
 	cap := p.cfg.CapacityBytes
 	if pkt.Prio == PrioHigh {
@@ -387,7 +388,6 @@ func (p *Port) admit(pkt *Packet) {
 		if p.cfg.Mode == TrimOverflow && pkt.Prio == PrioNormal && pkt.Trimmable() {
 			if pkt.TrimTo(p.cfg.TrimTarget) {
 				p.Stats.Trimmed++
-				p.obs.trimmed.Inc()
 				if p.bytes[PrioHigh]+pkt.Size <= p.cfg.HighCapacityBytes {
 					p.push(pkt)
 					return
@@ -396,8 +396,6 @@ func (p *Port) admit(pkt *Packet) {
 		}
 		p.Stats.Dropped++
 		p.Stats.DroppedBytes += pkt.Size
-		p.obs.dropped.Inc()
-		p.obs.droppedBytes.Add(int64(pkt.Size))
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -409,12 +407,11 @@ func (p *Port) push(pkt *Packet) {
 	p.q[pkt.Prio] = append(p.q[pkt.Prio], pkt)
 	p.bytes[pkt.Prio] += pkt.Size
 	p.Stats.Enqueued++
-	p.obs.enqueued.Inc()
 	depth := p.QueuedBytes()
 	if depth > p.Stats.MaxQueueBytes {
 		p.Stats.MaxQueueBytes = depth
 	}
-	p.obs.queueDepth.Observe(int64(depth))
+	p.queueDepth.Observe(int64(depth))
 	if !p.busy {
 		p.transmitNext()
 	}
@@ -445,7 +442,6 @@ func (p *Port) transmitNext() {
 // so a packet hop costs no closure allocations.
 func (p *Port) onTxDone(pkt *Packet) {
 	p.Stats.Transmitted++
-	p.obs.transmitted.Inc()
 	if p.peerSim != p.sim {
 		p.sim.handOff(p, pkt)
 	} else {

@@ -249,27 +249,27 @@ func TestHighPriorityOvertakes(t *testing.T) {
 
 func TestDumbbellRouting(t *testing.T) {
 	sim := NewSim()
-	d := BuildDumbbell(sim, 2, 2, fastLink(), fastLink(), QueueConfig{})
+	d := NewDumbbell(sim, 2, 2, fastLink(), fastLink(), QueueConfig{})
 	got := map[NodeID]int{}
-	for _, h := range append(d.LeftHosts, d.RightHosts...) {
+	for _, h := range d.Hosts {
 		h := h
 		h.Handler = func(p *Packet) { got[h.ID()]++ }
 	}
 	// Left 0 → right 2 crosses the bottleneck; right 3 → left 1 too.
-	d.LeftHosts[0].Send(&Packet{Dst: 2, Size: 500})
-	d.RightHosts[1].Send(&Packet{Dst: 1, Size: 500})
+	d.Hosts[0].Send(&Packet{Dst: 2, Size: 500})
+	d.Hosts[3].Send(&Packet{Dst: 1, Size: 500})
 	sim.Run()
 	if got[2] != 1 || got[1] != 1 {
 		t.Fatalf("deliveries: %v", got)
 	}
-	if d.Left.RouteMisses+d.Right.RouteMisses != 0 {
+	if sw := d.Tier(TierEdge); sw[0].RouteMisses+sw[1].RouteMisses != 0 {
 		t.Fatal("route misses")
 	}
 }
 
 func TestRingRouting(t *testing.T) {
 	sim := NewSim()
-	r := BuildRing(sim, 5, fastLink(), fastLink(), QueueConfig{})
+	r := NewRing(sim, 5, fastLink(), fastLink(), QueueConfig{})
 	got := map[NodeID]int{}
 	for _, h := range r.Hosts {
 		h := h
@@ -289,7 +289,7 @@ func TestRingRouting(t *testing.T) {
 			t.Fatalf("host %d received %d, want 4", h.ID(), got[h.ID()])
 		}
 	}
-	for _, sw := range r.Switches {
+	for _, sw := range r.Tier(TierEdge) {
 		if sw.RouteMisses != 0 {
 			t.Fatal("route misses in ring")
 		}

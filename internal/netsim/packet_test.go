@@ -169,19 +169,20 @@ func TestDumbbellBottleneckCongests(t *testing.T) {
 	sim := NewSim()
 	edge := LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}
 	bottleneck := LinkConfig{Bandwidth: Gbps(1), Delay: 5 * Microsecond}
-	d := BuildDumbbell(sim, 4, 1, edge, bottleneck,
+	d := NewDumbbell(sim, 4, 1, edge, bottleneck,
 		QueueConfig{CapacityBytes: 10000, Mode: TrimOverflow})
 	got := 0
-	d.RightHosts[0].Handler = func(p *Packet) { got++ }
-	dst := d.RightHosts[0].ID()
+	d.Hosts[4].Handler = func(p *Packet) { got++ }
+	dst := d.Hosts[4].ID()
 	for i := 0; i < 25; i++ {
 		for s := 0; s < 4; s++ {
 			data := gradPayload(t, 512)
-			d.LeftHosts[s].Send(&Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data})
+			d.Hosts[s].Send(&Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data})
 		}
 	}
 	sim.Run()
-	st := d.Left.Port(d.Right.ID()).Stats
+	sw := d.Tier(TierEdge)
+	st := sw[0].Port(sw[1].ID()).Stats
 	if st.Trimmed == 0 {
 		t.Fatalf("no trimming at the bottleneck: %+v", st)
 	}

@@ -131,6 +131,17 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 	// Upper tiers spread the same way: pod-major aggregation switches land
 	// with their pod whenever S divides the pod count.
 	simOf := make(map[NodeID]*Sim)
+	// Port and fault counters stay registered in the pre-partition
+	// registry, where they were built, so Engine.Snapshot reads each once;
+	// only the queue-depth histogram, observed per event, moves to the
+	// shard's registry.
+	rebind := func(p *Port, s *Sim) {
+		p.sim = s
+		p.queueDepth = queueDepthHist(s.obs, p.owner, p.peer.ID())
+		if p.faults != nil {
+			p.faults.sim = s
+		}
+	}
 	assign := func(n Node, idx int) {
 		sh := e.shards[idx]
 		simOf[n.ID()] = sh.sim
@@ -139,23 +150,13 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 			sh.switches = append(sh.switches, n.ID())
 			n.sim = sh.sim
 			for _, p := range n.Ports() {
-				p.sim = sh.sim
-				p.obs = newPortObs(sh.sim.obs, p.owner, p.peer.ID())
-				if p.faults != nil {
-					p.faults.sim = sh.sim
-					p.faults.obs = newFaultObs(sh.sim.obs, p.owner, p.peer.ID())
-				}
+				rebind(p, sh.sim)
 			}
 		case *Host:
 			sh.hosts = append(sh.hosts, n.ID())
 			n.sim = sh.sim
 			if p := n.uplink; p != nil {
-				p.sim = sh.sim
-				p.obs = newPortObs(sh.sim.obs, p.owner, p.peer.ID())
-				if p.faults != nil {
-					p.faults.sim = sh.sim
-					p.faults.obs = newFaultObs(sh.sim.obs, p.owner, p.peer.ID())
-				}
+				rebind(p, sh.sim)
 			}
 		}
 	}
@@ -369,9 +370,12 @@ func (e *Engine) Run() { e.RunUntil(maxTime) }
 func (e *Engine) Stop() { e.stop.Store(true) }
 
 // Snapshot merges the pre-partition registry with every shard registry
-// into one canonical snapshot. obs.Merge is associative, commutative,
-// and canonicalizing (sorted names and spans, summed counters), so the
-// merged bytes are identical at every shard count.
+// into one canonical snapshot. Port and fault counters are read from
+// their stats structs through the pre-partition registry; transports
+// and faults attached after partitioning register on their shard's.
+// obs.Merge is associative, commutative, and canonicalizing (sorted
+// names and spans, summed counters), so the merged bytes are identical
+// at every shard count. Call it only while the engine is idle.
 func (e *Engine) Snapshot() obs.Snapshot {
 	if e.mainObs == nil {
 		return obs.Snapshot{}

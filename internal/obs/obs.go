@@ -24,8 +24,12 @@
 //
 // Instruments are get-or-create by name and safe for concurrent use
 // (counters, gauges, and histograms are atomic; the span log is
-// mutex-guarded). The naming schema shared by every instrumented package
-// is documented in DESIGN.md §9.
+// mutex-guarded). A component that already keeps a stats struct does not
+// count its events twice: it registers each field once with CounterFunc,
+// and the registry reads the struct when a snapshot is taken. Those
+// reads are not synchronized with the component, so snapshot only while
+// it is idle (between simulator runs). The naming schema shared by every
+// instrumented package is documented in DESIGN.md §9.
 package obs
 
 import (
@@ -48,6 +52,7 @@ type Registry struct {
 	clock    Clock
 	logical  atomic.Int64
 	counters map[string]*Counter
+	views    map[string][]func() int64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	spans    []SpanPoint
@@ -69,6 +74,7 @@ func WithClock(c Clock) Option { return func(r *Registry) { r.clock = c } }
 func New(opts ...Option) *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
+		views:    make(map[string][]func() int64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -105,7 +111,8 @@ func (r *Registry) Now() int64 {
 }
 
 // Counter returns the named monotone counter, creating it on first use.
-// Nil registry returns a nil (no-op) counter.
+// A name already registered with CounterFunc panics. Nil registry
+// returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -114,10 +121,34 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
+		if r.views[name] != nil {
+			panic("obs: counter " + name + " is already a CounterFunc view")
+		}
 		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers a function-backed counter: f is called inside
+// Snapshot (on the snapshotting goroutine, under the registry lock, so it
+// must not call back into the registry) and its value is exported under
+// name exactly like a Counter's. This is how a component whose stats
+// struct is authoritative (netsim.PortStats, transport.Stats) exposes it
+// without counting each event twice. Registering the same name again
+// adds another function and the snapshot reports their sum, as Merge
+// sums same-name counters; a name used by Counter panics. The registry
+// keeps f, and whatever it reads, reachable. Nil registry is a no-op.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters[name] != nil {
+		panic("obs: counter " + name + " redeclared as a CounterFunc view")
+	}
+	r.views[name] = append(r.views[name], f)
 }
 
 // Gauge returns the named gauge, creating it on first use. Nil registry

@@ -106,6 +106,60 @@ func TestHistogramBoundsPinned(t *testing.T) {
 	r.Histogram("h", []int64{1, 3})
 }
 
+// TestCounterFunc pins the function-backed counter: sampled at snapshot
+// time, exported, merged and diffed exactly like a Counter, summed over
+// same-name registrations, and never sharing a name with a Counter.
+func TestCounterFunc(t *testing.T) {
+	r := New()
+	var a, b int
+	r.CounterFunc("port.events_total", func() int64 { return int64(a) })
+	r.CounterFunc("port.events_total", func() int64 { return int64(b) })
+	r.Counter("plain_total").Add(3)
+	a, b = 2, 5
+	prev := r.Snapshot()
+	if got := prev.Counter("port.events_total"); got != 7 {
+		t.Fatalf("view = %d, want the sum 7", got)
+	}
+	if prev.Counters[0].Name != "plain_total" || prev.Counters[1].Name != "port.events_total" {
+		t.Fatalf("views not in canonical counter order: %+v", prev.Counters)
+	}
+	a = 10
+	cur := r.Snapshot()
+	if got := Diff(prev, cur).Counter("port.events_total"); got != 8 {
+		t.Fatalf("diff = %d, want 8", got)
+	}
+	if got := Merge(prev, cur).Counter("port.events_total"); got != 22 {
+		t.Fatalf("merge = %d, want 22", got)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, cur); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"kind":"counter","name":"port.events_total","value":15}`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("JSONL missing %s:\n%s", want, buf.String())
+	}
+
+	var nop *Registry
+	nop.CounterFunc("x", func() int64 { t.Fatal("nil registry sampled a view"); return 0 })
+	if len(nop.Snapshot().Counters) != 0 {
+		t.Fatal("nil registry exported a view")
+	}
+
+	for name, reuse := range map[string]func(){
+		"view then counter": func() { r.Counter("port.events_total") },
+		"counter then view": func() { r.CounterFunc("plain_total", func() int64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: reusing a name across Counter and CounterFunc should panic", name)
+				}
+			}()
+			reuse()
+		}()
+	}
+}
+
 // TestBucketBoundariesGolden pins the standard bucket sets: they are part
 // of the export schema, so any change must be deliberate and show up here.
 func TestBucketBoundariesGolden(t *testing.T) {

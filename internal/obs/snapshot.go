@@ -59,9 +59,11 @@ func (h HistogramPoint) Quantile(q float64) int64 {
 // Snapshot is the point-in-time export of a registry: every slice sorted
 // into a canonical order (instruments by name, spans by start/end/name/
 // attrs) so identical registry contents produce identical snapshots.
-// Snapshot is the one schema the legacy per-package stats structs
-// (core.Stats, transport.Stats, netsim.PortStats, netsim.FaultStats)
-// unify behind; DESIGN.md §9 maps each legacy field to its metric name.
+// It is the one export schema for every instrumented package: the stats
+// structs netsim.PortStats, netsim.FaultStats and transport.Stats stay
+// authoritative and reach it as CounterFunc views, core's decode path
+// reports through plain counters; DESIGN.md §9 maps each struct field to
+// its metric name.
 type Snapshot struct {
 	Counters   []CounterPoint
 	Gauges     []GaugePoint
@@ -77,7 +79,11 @@ type Snapshotter interface {
 }
 
 // Snapshot captures the registry's current state in canonical order.
-// The nil registry yields the empty snapshot.
+// Function-backed counters (CounterFunc) are read here, on the goroutine
+// that calls Snapshot, from stats structs that the simulator updates
+// without synchronization: a snapshot must not overlap a running
+// netsim.Sim or netsim.Engine. The nil registry yields the empty
+// snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -88,6 +94,14 @@ func (r *Registry) Snapshot() Snapshot {
 	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: c.Value()})
+	}
+	//trimlint:allow determinism keys are sorted below; map order never reaches the snapshot
+	for name, fs := range r.views {
+		var v int64
+		for _, f := range fs {
+			v += f()
+		}
+		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot

@@ -16,24 +16,26 @@ func TestReliableECNKeepsQueuesShallow(t *testing.T) {
 		sim := netsim.NewSim()
 		// Fast edge into a 10x slower bottleneck: the sender's window
 		// piles up at the left switch's bottleneck port.
-		d := netsim.BuildDumbbell(sim, 1, 1,
+		d := netsim.NewDumbbell(sim, 1, 1,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(1), Delay: 5 * netsim.Microsecond},
 			netsim.LinkConfig{Bandwidth: netsim.Mbps(100), Delay: 20 * netsim.Microsecond},
 			netsim.QueueConfig{CapacityBytes: 1 << 20, ECNThresholdBytes: ecnThreshold})
-		a := NewStack(d.LeftHosts[0], Config{MaxWindow: 512})
-		b := NewStack(d.RightHosts[0], Config{})
+		left, right := d.Hosts[0], d.Hosts[1]
+		a := NewStack(left, Config{MaxWindow: 512})
+		b := NewStack(right, Config{})
 		b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
 		enc, _ := core.NewEncoder(coreConfig())
 		msg, _ := enc.Encode(1, 1, gaussianGrad(9, 1<<15))
 		payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
 		done := false
-		a.SendReliable(d.RightHosts[0].ID(), 1, payloads,
+		a.SendReliable(right.ID(), 1, payloads,
 			func(netsim.Time) { done = true }, nil)
 		sim.RunUntil(10 * netsim.Second)
 		if !done {
 			t.Fatal("did not complete")
 		}
-		return d.Left.Port(d.Right.ID()).Stats.MaxQueueBytes
+		sw := d.Tier(netsim.TierEdge)
+		return sw[0].Port(sw[1].ID()).Stats.MaxQueueBytes
 	}
 	withECN := run(10_000)
 	without := run(0)

@@ -125,7 +125,9 @@ type Stack struct {
 	host *netsim.Host
 	sim  *netsim.Sim
 	cfg  Config
-	obs  stackObs
+	// cwnd is the congestion window ×1000 (gauges are integers); a nil
+	// no-op when telemetry is off.
+	cwnd *obs.Gauge
 
 	// Receiver consumes delivered payloads; may be nil.
 	Receiver Receiver
@@ -146,40 +148,31 @@ type Stack struct {
 	trimRx map[msgKey]*trimReceiver
 }
 
-// stackObs mirrors Stats into a telemetry registry under the
-// "transport.h<id>." prefix, plus the congestion window as a gauge
-// (scaled ×1000 since gauges are integers). All instruments are nil
-// no-ops when telemetry is off.
-type stackObs struct {
-	dataSent        *obs.Counter
-	dataDelivered   *obs.Counter
-	trimmedReceived *obs.Counter
-	retransmits     *obs.Counter
-	timeouts        *obs.Counter
-	acksSent        *obs.Counter
-	nacksSent       *obs.Counter
-	failures        *obs.Counter
-	rejectedPackets *obs.Counter
-	dupsReceived    *obs.Counter
-	staleDrops      *obs.Counter
-	cwnd            *obs.Gauge
-}
-
-func newStackObs(r *obs.Registry, id netsim.NodeID) stackObs {
+// register exposes the counters as function-backed registry counters
+// under "transport.h<id>.", read at snapshot time, so each event is
+// counted once, here.
+func (s *Stats) register(r *obs.Registry, id netsim.NodeID) {
+	if r == nil {
+		return
+	}
 	prefix := fmt.Sprintf("transport.h%d.", id)
-	return stackObs{
-		dataSent:        r.Counter(prefix + "data_sent_total"),
-		dataDelivered:   r.Counter(prefix + "data_delivered_total"),
-		trimmedReceived: r.Counter(prefix + "trimmed_received_total"),
-		retransmits:     r.Counter(prefix + "retransmits_total"),
-		timeouts:        r.Counter(prefix + "timeouts_total"),
-		acksSent:        r.Counter(prefix + "acks_sent_total"),
-		nacksSent:       r.Counter(prefix + "nacks_sent_total"),
-		failures:        r.Counter(prefix + "failures_total"),
-		rejectedPackets: r.Counter(prefix + "rejected_packets_total"),
-		dupsReceived:    r.Counter(prefix + "dups_received_total"),
-		staleDrops:      r.Counter(prefix + "stale_drops_total"),
-		cwnd:            r.Gauge(prefix + "cwnd_x1000"),
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{
+		{"data_sent_total", &s.DataSent},
+		{"data_delivered_total", &s.DataDelivered},
+		{"trimmed_received_total", &s.TrimmedReceived},
+		{"retransmits_total", &s.Retransmits},
+		{"timeouts_total", &s.Timeouts},
+		{"acks_sent_total", &s.AcksSent},
+		{"nacks_sent_total", &s.NacksSent},
+		{"failures_total", &s.Failures},
+		{"rejected_packets_total", &s.RejectedPackets},
+		{"dups_received_total", &s.DupsReceived},
+		{"stale_drops_total", &s.StaleDrops},
+	} {
+		r.CounterFunc(prefix+f.name, func() int64 { return int64(*f.v) })
 	}
 }
 
@@ -244,7 +237,7 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 		host:     h,
 		sim:      h.Sim(),
 		cfg:      o.cfg.withDefaults(),
-		obs:      newStackObs(o.reg, h.ID()),
+		cwnd:     o.reg.Gauge(fmt.Sprintf("transport.h%d.cwnd_x1000", h.ID())),
 		Receiver: o.rcv,
 		arena:    o.arena,
 		relTx:    make(map[msgKey]*relSender),
@@ -252,6 +245,7 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 		trimTx:   make(map[msgKey]*trimSender),
 		trimRx:   make(map[msgKey]*trimReceiver),
 	}
+	s.Stats.register(o.reg, h.ID())
 	h.Handler = s.handle
 	// Let aggregating switches fold trim-aware data packets: the merger
 	// rebuilds the control header (reassembly entries + checksum) for the
@@ -343,7 +337,6 @@ func (s *Stack) staleSend(gens []uint64, payload []byte, idx int) bool {
 		return false
 	}
 	s.Stats.StaleDrops++
-	s.obs.staleDrops.Inc()
 	return true
 }
 
@@ -362,7 +355,6 @@ func (s *Stack) deliver(src netsim.NodeID, payload []byte) {
 		s.Receiver.HandlePayload(src, payload)
 	}
 	s.Stats.DataDelivered++
-	s.obs.dataDelivered.Inc()
 }
 
 // payloadSize is the wire size of a packet carrying payload.
@@ -388,7 +380,6 @@ func payloadSum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable
 func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {
 	if !p.Trimmed && payloadSum(p.Payload) != sum {
 		s.Stats.RejectedPackets++
-		s.obs.rejectedPackets.Inc()
 		return false
 	}
 	if !wire.IsTrimgrad(p.Payload) {
@@ -396,7 +387,6 @@ func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {
 	}
 	if wire.Validate(p.Payload) != nil {
 		s.Stats.RejectedPackets++
-		s.obs.rejectedPackets.Inc()
 		return false
 	}
 	return true
